@@ -65,6 +65,12 @@ type Journal struct {
 	// records dropped at flush watermarks. Both feed the registry.
 	compactions   int64
 	truncatedPuts int64
+	// live is the number of patches a replay of the manifest would
+	// restore, and liveRefs counts those patches per ref, so the
+	// compaction check needs no replay. A del of a ref with no live
+	// add (an aborted compaction output) changes neither.
+	live     int
+	liveRefs map[Ref]int
 }
 
 // manifestSlack is how many dead manifest records are tolerated before
@@ -136,7 +142,12 @@ func (j *Journal) appendRun(tier int, pts []*patch) bool {
 	}
 	id := j.nextRun
 	j.nextRun++
+	if j.liveRefs == nil {
+		j.liveRefs = make(map[Ref]int)
+	}
 	for _, pt := range pts {
+		j.liveRefs[pt.ref]++
+		j.live++
 		j.manifest = append(j.manifest, manifestRecord{
 			op: manifestAdd, ref: pt.ref, tier: tier, runID: id,
 			keys: pt.keys, offs: pt.offs, sizes: pt.sizes,
@@ -153,6 +164,14 @@ func (j *Journal) appendDel(ref Ref) {
 		return
 	}
 	j.manifest = append(j.manifest, manifestRecord{op: manifestDel, ref: ref})
+	if n := j.liveRefs[ref]; n > 0 {
+		if n == 1 {
+			delete(j.liveRefs, ref)
+		} else {
+			j.liveRefs[ref] = n - 1
+		}
+		j.live--
+	}
 	j.maybeCompact()
 }
 
@@ -241,24 +260,18 @@ func (j *Journal) replayManifest() []*rebuiltRun {
 }
 
 // maybeCompact rewrites the manifest down to its live records once the
-// dead fraction dominates. The rewrite replays the current manifest
-// and re-emits one add per surviving patch, preserving run grouping
-// and order, so a mount replaying the compacted manifest rebuilds
-// byte-identical tiers. It is skipped while halted: a compaction
-// racing the power cut must not reorder what the crash preserved.
+// dead fraction dominates. The check reads the running live count; only
+// the rewrite replays the current manifest, re-emitting one add per
+// surviving patch, preserving run grouping and order, so a mount
+// replaying the compacted manifest rebuilds byte-identical tiers. It is
+// skipped while halted: a compaction racing the power cut must not
+// reorder what the crash preserved.
 func (j *Journal) maybeCompact() {
-	if j == nil || j.halted {
+	if j == nil || j.halted || len(j.manifest) <= 2*j.live+manifestSlack {
 		return
 	}
 	runs := j.replayManifest()
-	live := 0
-	for _, rr := range runs {
-		live += len(rr.r)
-	}
-	if len(j.manifest) <= 2*live+manifestSlack {
-		return
-	}
-	compacted := make([]manifestRecord, 0, live)
+	compacted := make([]manifestRecord, 0, j.live)
 	for _, rr := range runs {
 		for _, pt := range rr.r {
 			compacted = append(compacted, manifestRecord{

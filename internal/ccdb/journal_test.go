@@ -3,6 +3,8 @@ package ccdb
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,5 +195,97 @@ func TestManifestCompactionSkippedWhileHalted(t *testing.T) {
 	if j.ManifestRecords() != before || j.Compactions() != 0 {
 		t.Fatalf("halted journal compacted: %d -> %d records, %d compactions",
 			before, j.ManifestRecords(), j.Compactions())
+	}
+}
+
+// replayLive counts the patches a replay of manifest would restore.
+func replayLive(manifest []manifestRecord) int {
+	live := 0
+	for _, rr := range (&Journal{manifest: manifest}).replayManifest() {
+		live += len(rr.r)
+	}
+	return live
+}
+
+// TestManifestLiveCountMatchesReplay drives random add/del/halt
+// sequences — including double adds, dels of unknown and already
+// retired refs, and dels racing a halt — and checks after every step
+// that the running live count equals the replay-derived one, and that
+// manifest length and compaction count follow the rule the check
+// replaced: compact after a del exactly when the manifest exceeds twice
+// the replayed live count plus the slack.
+func TestManifestLiveCountMatchesReplay(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		j := NewJournal()
+		// added is every ref ever added; live mirrors the refs a replay
+		// would restore, so most dels retire a live patch.
+		var added, live []Ref
+		next := Ref(0)
+		for step := 0; step < 3000; step++ {
+			records, compactions := j.ManifestRecords(), j.Compactions()
+			switch op := rng.Intn(20); {
+			case op < 7:
+				pts := make([]*patch, 1+rng.Intn(3)/2)
+				for i := range pts {
+					ref := next
+					if len(added) > 0 && rng.Intn(8) == 0 {
+						ref = added[rng.Intn(len(added))]
+					} else {
+						next++
+					}
+					added = append(added, ref)
+					pts[i] = &patch{ref: ref, keys: []string{"k"}, offs: []int{0}, sizes: []int{1}}
+				}
+				ok := j.appendRun(rng.Intn(3), pts)
+				want := records + len(pts)
+				if !ok {
+					want = records
+				}
+				if ok {
+					for _, pt := range pts {
+						live = append(live, pt.ref)
+					}
+				}
+				if ok == j.Halted() || j.ManifestRecords() != want || j.Compactions() != compactions {
+					t.Fatalf("seed %d step %d: add: ok=%v records %d -> %d, compactions %d -> %d",
+						seed, step, ok, records, j.ManifestRecords(), compactions, j.Compactions())
+				}
+			case op < 18:
+				ref := next + 1000 // never added
+				switch r := rng.Intn(10); {
+				case r < 8 && len(live) > 0:
+					ref = live[rng.Intn(len(live))]
+				case r < 9 && len(added) > 0:
+					ref = added[rng.Intn(len(added))]
+				}
+				if i := slices.Index(live, ref); i >= 0 && !j.Halted() {
+					live = slices.Delete(live, i, i+1)
+				}
+				wantRecords, wantCompactions := records, compactions
+				if !j.Halted() {
+					grown := append(slices.Clone(j.manifest), manifestRecord{op: manifestDel, ref: ref})
+					wantRecords = len(grown)
+					if live := replayLive(grown); len(grown) > 2*live+manifestSlack {
+						wantRecords, wantCompactions = live, compactions+1
+					}
+				}
+				j.appendDel(ref)
+				if j.ManifestRecords() != wantRecords || j.Compactions() != wantCompactions {
+					t.Fatalf("seed %d step %d: del %d: records %d, compactions %d; want %d, %d",
+						seed, step, ref, j.ManifestRecords(), j.Compactions(), wantRecords, wantCompactions)
+				}
+			case op == 18:
+				j.Halt()
+			default:
+				j.halted = false // a remount brings the log device back
+			}
+			if want := replayLive(j.manifest); j.live != want {
+				t.Fatalf("seed %d step %d: live count %d, replay finds %d", seed, step, j.live, want)
+			}
+		}
+		if j.Compactions() == 0 {
+			t.Fatalf("seed %d: sequence never compacted", seed)
+		}
 	}
 }

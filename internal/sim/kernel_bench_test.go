@@ -148,9 +148,35 @@ func BenchmarkKernelSameInstantChurn(b *testing.B) {
 	env.Run()
 }
 
-// allocsPerEvent builds a workload on a fresh Env, runs it to
-// completion, and returns heap allocations per dispatched event.
-func allocsPerEvent(build func(env *Env)) float64 {
+// BenchmarkKernelSpawn measures the process lifecycle: one spawner
+// starts a short child per op (Go, first switch, one Wait, exit), the
+// shape of every RPC sub-request and replica read. Children run on
+// recycled worker coroutines, so the per-op allocations are the Proc
+// and the child's closure.
+func BenchmarkKernelSpawn(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	defer env.Close()
+	finished := 0
+	env.Go("spawner", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			env.Go("child", func(c *Proc) {
+				c.Wait(time.Microsecond)
+				finished++
+			})
+			p.Wait(time.Microsecond)
+		}
+	})
+	env.Run()
+	if finished != b.N {
+		b.Fatalf("finished %d children, want %d", finished, b.N)
+	}
+}
+
+// runAllocs builds a workload on a fresh Env, runs it to completion,
+// and returns the heap allocations the run made and the events it
+// dispatched.
+func runAllocs(build func(env *Env)) (allocs, events uint64) {
 	env := NewEnv()
 	build(env)
 	var before, after runtime.MemStats
@@ -158,7 +184,13 @@ func allocsPerEvent(build func(env *Env)) float64 {
 	runtime.ReadMemStats(&before)
 	env.Run()
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(env.Events())
+	return after.Mallocs - before.Mallocs, env.Events()
+}
+
+// allocsPerEvent returns heap allocations per dispatched event.
+func allocsPerEvent(build func(env *Env)) float64 {
+	allocs, events := runAllocs(build)
+	return float64(allocs) / float64(events)
 }
 
 // TestKernelFastPathAllocs asserts the -benchmem property the
@@ -217,6 +249,25 @@ func TestKernelFastPathAllocs(t *testing.T) {
 				})
 			}
 		}},
+		// One waiter per signal is held inline: awaiting allocates
+		// nothing. The signals are built before the measured run.
+		{"signal-await", func(env *Env) {
+			sigs := make([]*Signal, 50000)
+			for i := range sigs {
+				sigs[i] = NewSignal(env)
+			}
+			env.Go("waiter", func(p *Proc) {
+				for _, s := range sigs {
+					p.Await(s)
+				}
+			})
+			env.Go("firer", func(p *Proc) {
+				for _, s := range sigs {
+					p.Wait(time.Microsecond)
+					s.Fire()
+				}
+			})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -226,4 +277,25 @@ func TestKernelFastPathAllocs(t *testing.T) {
 			}
 		})
 	}
+
+	// A process lifecycle costs the Proc and the caller's closure, and
+	// nothing else: the coroutine comes from the worker pool and the
+	// finished process leaves no bookkeeping behind. The same slack as
+	// above absorbs the pools' one-time growth.
+	t.Run("spawn-finish-churn", func(t *testing.T) {
+		const spawns = 100000
+		allocs, _ := runAllocs(func(env *Env) {
+			env.Go("spawner", func(p *Proc) {
+				for i := 0; i < spawns; i++ {
+					env.Go("child", func(c *Proc) {
+						c.Wait(time.Duration(i%3) * time.Microsecond)
+					})
+					p.Wait(time.Microsecond)
+				}
+			})
+		})
+		if got := float64(allocs) / spawns; got > 2+bound {
+			t.Errorf("spawn-finish-churn: %.4f allocs/spawn, want <= 2", got)
+		}
+	})
 }

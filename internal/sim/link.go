@@ -102,15 +102,17 @@ type SharedLink struct {
 	name   string
 	rate   float64 // bytes per second
 	factor float64 // degradation multiplier (1 = healthy)
-	active []*xfer
+	active []xfer
 	last   int64  // virtual time of last progress update
 	gen    uint64 // invalidates stale completion events
 	moved  int64
 }
 
+// xfer is one in-flight transfer: the bytes left and the process
+// parked on it.
 type xfer struct {
 	remaining float64 // bytes
-	done      *Signal
+	proc      *Proc
 }
 
 // NewSharedLink returns a fair-share link with the given aggregate data
@@ -161,10 +163,9 @@ func (l *SharedLink) Transfer(p *Proc, n int) {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferBegin, 0, 0, l.name, "", int64(n))
 	}
 	l.advance()
-	x := &xfer{remaining: float64(n), done: NewSignal(l.env)}
-	l.active = append(l.active, x)
+	l.active = append(l.active, xfer{remaining: float64(n), proc: p})
 	l.reschedule()
-	p.Await(x.done)
+	p.park()
 	l.moved += int64(n)
 	if full {
 		l.env.tracer.Emit(l.env.Now(), trace.KindXferEnd, 0, 0, l.name, "", int64(n))
@@ -183,7 +184,8 @@ func (l *SharedLink) advance() {
 		return
 	}
 	each := elapsed * l.rate * l.factor / float64(len(l.active))
-	for _, x := range l.active {
+	for i := range l.active {
+		x := &l.active[i]
 		x.remaining -= each
 		if x.remaining < 0 {
 			x.remaining = 0
@@ -226,11 +228,12 @@ func (l *SharedLink) complete() {
 		// One virtual nanosecond of budget is less than one byte at any
 		// realistic rate, so treat sub-byte residue as done.
 		if x.remaining < 1 {
-			x.done.Fire()
+			l.env.wake(x.proc)
 		} else {
 			kept = append(kept, x)
 		}
 	}
+	clear(l.active[len(kept):])
 	l.active = kept
 	l.reschedule()
 }

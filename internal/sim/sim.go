@@ -7,11 +7,12 @@
 // garbage-collection jitter.
 //
 // The kernel follows the classic process-interaction style (cf. SimPy):
-// a simulation is a set of processes, each a goroutine, of which exactly
-// one runs at any instant. A process blocks by waiting for virtual time
-// to pass (Proc.Wait), for a Signal to fire (Proc.Await), or for a
-// Resource or Queue to become available. The scheduler resumes processes
-// in strict (time, sequence) order, so event ordering is deterministic.
+// a simulation is a set of processes, each running on a coroutine
+// stack, of which exactly one runs at any instant. A process blocks by
+// waiting for virtual time to pass (Proc.Wait), for a Signal to fire
+// (Proc.Await), or for a Resource or Queue to become available. The
+// scheduler resumes processes in strict (time, sequence) order, so
+// event ordering is deterministic.
 //
 // Two structural choices make the hot loop cheap (DESIGN.md "Kernel
 // round 2"):
@@ -25,19 +26,25 @@
 //     scheduling allocates nothing.
 //
 //   - Control moves between processes by runtime coroutine switch
-//     (iter.Pull): each process is a pull-iterator coroutine, and a
-//     handoff is a direct stack switch — no channel, no scheduler pass,
+//     (iter.Pull): each process runs on a pull-iterator coroutine, and
+//     a handoff is a direct stack switch — no channel, no scheduler pass,
 //     no goroutine ready/park round trip. The goroutine that holds
 //     control pops and dispatches events itself; when a process's own
 //     resume event is next, it keeps running with no switch at all.
 //     All coroutine resumes are trampolined through the driver
 //     goroutine (the Run caller), so next/stop are never invoked from
 //     inside a coroutine.
+//
+// A process lifecycle allocates only the Proc and the caller's closure
+// (DESIGN.md "Process lifecycle"): coroutines are pooled workers that
+// outlive the processes they run, the Env forgets finished processes,
+// and a single-waiter Signal keeps its waiter inline.
 package sim
 
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 
 	"sdf/internal/trace"
@@ -251,8 +258,11 @@ type Env struct {
 	// process deposits the successor here before yielding, and the
 	// driver loop trampolines into it. nil means re-evaluate the stop
 	// conditions and dispatch from the queue.
-	xfer   *Proc
+	xfer *Proc
+	// procs lists spawned processes in spawn order for Close; Go
+	// compacts finished ones out. idle holds workers with no process.
 	procs  []*Proc
+	idle   []*worker
 	closed bool
 	fail   *procPanic
 	tracer *trace.Collector
@@ -405,10 +415,8 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		}
 		e.fired++
 		if p := ev.proc; p != nil {
-			if p.fn != nil {
-				fn := p.fn
-				p.fn = nil
-				e.spawn(p, fn)
+			if !p.started {
+				e.spawn(p)
 				return p
 			}
 			if p.done {
@@ -428,7 +436,7 @@ func (e *Env) drive() {
 	for {
 		if p := e.xfer; p != nil {
 			e.xfer = nil
-			p.resumeFn()
+			p.w.resume()
 			continue
 		}
 		if f := e.fail; f != nil {
@@ -439,6 +447,7 @@ func (e *Env) drive() {
 		}
 		if e.activeGrant == nil {
 			if e.q.size == 0 {
+				e.releaseIdle()
 				return
 			}
 			if e.limit >= 0 && e.q.minAt() > e.limit {
@@ -446,27 +455,76 @@ func (e *Env) drive() {
 			}
 		}
 		if next := e.runEvents(nil); next != nil {
-			next.resumeFn()
+			next.w.resume()
 		}
 	}
 }
 
-// Proc is a simulation process: a coroutine created with iter.Pull.
-// Methods on Proc may only be called from the goroutine running that
-// process. resumeFn/stopFn switch into the coroutine and are invoked
-// only from the driver goroutine; yieldFn switches back out and is
-// invoked only from inside the coroutine.
+// Proc is a simulation process. Methods on Proc may only be called
+// from the process itself. While the process runs it owns a pooled
+// worker coroutine; a finished process keeps only its name and done
+// state.
 type Proc struct {
-	env      *Env
-	name     string
-	fn       func(*Proc) // body, pending until the start event fires
-	resumeFn func() (struct{}, bool)
-	stopFn   func()
-	yieldFn  func(struct{}) bool
-	started  bool
-	done     bool
-	doneSig  *Signal
-	span     trace.SpanID
+	env     *Env
+	name    string
+	fn      func(*Proc) // body, pending until the process starts
+	w       *worker     // set from start until the process finishes
+	started bool
+	done    bool
+	doneSig *Signal
+	span    trace.SpanID
+}
+
+// worker is a pooled coroutine created with iter.Pull: the stack a
+// process runs on. It runs one process body to completion, returns to
+// Env.idle, and waits for spawn to hand it the next process, so the
+// coroutine's setup cost is paid once per concurrently live process
+// rather than once per process. resume/stop switch into the coroutine
+// and are invoked only from the driver goroutine; yield switches back
+// out and is invoked only from inside the coroutine.
+//
+// An idle worker references neither its last process nor the Env, so
+// an Env dropped without Close is not kept alive by its pool.
+type worker struct {
+	proc   *Proc // assigned by spawn, taken when the body starts
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+}
+
+// loop is the worker coroutine body. A finished process yields to the
+// driver exactly as a returning coroutine did, so dispatch continues
+// from the same point; only the stack the next process runs on
+// changes. The loop ends when Close stops the running process, or when
+// the idle worker is stopped.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		e := w.run()
+		if e.closed {
+			return
+		}
+		e.idle = append(e.idle, w)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes the assigned process body, unwinds through exit, and
+// returns the process's Env (set before the body runs, so a recovered
+// panic returns it too). The process and its body are locals of this
+// frame only, so nothing the body captured stays reachable from the
+// idle worker.
+func (w *worker) run() (e *Env) {
+	p := w.proc
+	w.proc = nil
+	e = p.env
+	fn := p.fn
+	p.fn = nil
+	defer p.exit()
+	fn(p)
+	return e
 }
 
 // Name returns the process name given at spawn time.
@@ -489,38 +547,51 @@ func (p *Proc) Span() trace.SpanID { return p.span }
 // before Run or from inside another process.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn}
+	if len(e.procs) == cap(e.procs) {
+		e.compactProcs()
+	}
 	e.procs = append(e.procs, p)
 	e.scheduleAt(e.now, event{proc: p})
 	return p
 }
 
-// spawn creates the process coroutine; control then transfers to it
-// like any other resume, and the body starts on that first switch.
-// The dispatch chain between spawn and first resume is unbroken (the
-// driver trampolines the deposited transfer before checking any stop
-// condition), so a started process always enters its body.
-func (e *Env) spawn(p *Proc, fn func(*Proc)) {
+// compactProcs drops finished processes from e.procs, keeping spawn
+// order, so they and everything their bodies captured become
+// collectable. It runs only when the list is full and leaves at least
+// half its capacity free, so the work amortises to O(1) per Go.
+func (e *Env) compactProcs() {
+	e.procs = slices.DeleteFunc(e.procs, (*Proc).Done)
+	e.procs = slices.Grow(e.procs, len(e.procs))
+}
+
+// spawn binds p to an idle worker, or to a new one when none is idle;
+// control then transfers to it like any other resume, and the body
+// starts on that first switch. The dispatch chain between spawn and
+// first resume is unbroken (the driver trampolines the deposited
+// transfer before checking any stop condition), so a started process
+// always enters its body.
+func (e *Env) spawn(p *Proc) {
 	if e.tracer.Full() {
 		e.tracer.Emit(e.Now(), trace.KindProcSpawn, 0, 0, p.name, "", 0)
 	}
 	p.started = true
-	p.resumeFn, p.stopFn = iter.Pull(func(yield func(struct{}) bool) {
-		p.yieldFn = yield
-		p.main(fn)
-	})
+	var w *worker
+	if n := len(e.idle); n > 0 {
+		w = e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+	} else {
+		w = &worker{}
+		w.resume, w.stop = iter.Pull(w.loop)
+	}
+	w.proc = p
+	p.w = w
 }
 
-// main is the body of a process coroutine: run the user function, then
-// unwind through exit. When it returns, control switches back to the
-// driver's pending resumeFn/stopFn call.
-func (p *Proc) main(fn func(*Proc)) {
-	defer p.exit()
-	fn(p)
-}
-
-// exit runs as the process coroutine unwinds: it records a panic (if
-// any) and completes the process. Control returns to the driver when
-// the coroutine body finishes; the driver re-evaluates its stop
+// exit runs as the process body unwinds: it records a panic (if any)
+// and completes the process. It must be the deferred function itself,
+// since recover only stops a panic when called directly by one. The
+// worker then yields to the driver, which re-evaluates its stop
 // conditions and continues dispatch.
 func (p *Proc) exit() {
 	e := p.env
@@ -530,6 +601,7 @@ func (p *Proc) exit() {
 		e.fail = &procPanic{proc: p.name, value: r}
 	}
 	p.done = true
+	p.w = nil
 	if p.doneSig != nil {
 		p.doneSig.Fire()
 	}
@@ -549,8 +621,8 @@ func (p *Proc) park() {
 	}
 	if next := e.runEvents(p); next != p {
 		e.xfer = next
-		if !p.yieldFn(struct{}{}) || e.closed {
-			// stopFn was called: Close is draining this coroutine.
+		if !p.w.yield(struct{}{}) || e.closed {
+			// stop was called: Close is draining this coroutine.
 			panic(stopSentinel{})
 		}
 	}
@@ -646,31 +718,53 @@ func (e *Env) run(limit int64) {
 	}
 }
 
-// Close terminates all blocked processes, unwinding their coroutines.
-// After Close the environment must not be used. Close is idempotent.
-// It must be called from outside Run (not from a process).
+// Close terminates all blocked processes, unwinding their coroutines,
+// and then ends the idle workers. After Close the environment must not
+// be used. Close is idempotent. It must be called from outside Run
+// (not from a process).
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	for _, p := range e.procs {
+	// Detach the list first: a defer run by the drain may call Go,
+	// which must not compact the slice being iterated.
+	procs := e.procs
+	e.procs = nil
+	for _, p := range procs {
 		if p.started && !p.done {
-			// stopFn switches in with yield returning false; park panics
-			// the stop sentinel and the coroutine unwinds through its
-			// deferred exit before control returns here.
-			p.stopFn()
+			// stop switches in with yield returning false; park panics
+			// the stop sentinel, the body unwinds through its deferred
+			// exit, and the worker loop ends before control returns here.
+			p.w.stop()
 		}
 	}
+	e.releaseIdle()
+}
+
+// releaseIdle ends every idle worker. Besides Close, the driver calls
+// it whenever nothing is left to dispatch, so an Env that has run to
+// completion holds no coroutine goroutines even if it is never closed;
+// a later Go starts a fresh pool.
+func (e *Env) releaseIdle() {
+	for _, w := range e.idle {
+		w.stop()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
 }
 
 // Signal is a one-shot broadcast event: processes Await it, and a later
 // Fire releases all of them. Awaiting an already-fired signal returns
 // immediately.
 type Signal struct {
-	env     *Env
-	fired   bool
-	waiters []*Proc
+	env   *Env
+	fired bool
+	// first is the earliest waiter, held inline so a single-waiter
+	// signal allocates nothing; rest holds later waiters in arrival
+	// order.
+	first *Proc
+	rest  []*Proc
 }
 
 // NewSignal returns an unfired signal bound to env.
@@ -684,10 +778,14 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for _, w := range s.waiters {
+	if s.first != nil {
+		s.env.wake(s.first)
+		s.first = nil
+	}
+	for _, w := range s.rest {
 		s.env.wake(w)
 	}
-	s.waiters = nil
+	s.rest = nil
 }
 
 // Fired reports whether the signal has been triggered.
@@ -698,7 +796,11 @@ func (p *Proc) Await(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.rest = append(s.rest, p)
+	}
 	p.park()
 }
 
