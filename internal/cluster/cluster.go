@@ -445,7 +445,7 @@ func (g *Group) Put(p *sim.Proc, key string, value []byte, size int) error {
 			continue
 		}
 		waitStart := g.env.Now()
-		if !awaitWithin(g.env, p, w.DoneSignal(), deadline-waitStart) {
+		if !p.AwaitWithin(w.DoneSignal(), deadline-waitStart) {
 			errs[i] = fmt.Errorf("%w: %s", ErrReplicaTimeout, g.nodes[i].Name)
 			t := g.env.Tracer()
 			span := t.Begin(waitStart, 0, "cluster/put-timeout", trace.PhaseFault)
@@ -533,27 +533,37 @@ func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 	if g.cfg.ReadDeadline > 0 {
 		deadline = start + g.cfg.ReadDeadline
 	}
-	type result struct {
-		value []byte
-		size  int
-		err   error
+	// read is one replica read: its process and, once finished is
+	// set, its result.
+	type read struct {
+		proc     *sim.Proc
+		value    []byte
+		size     int
+		err      error
+		finished bool
+		handled  bool
 	}
 	n := len(g.nodes)
-	res := make([]*result, n)
-	readers := make([]*sim.Proc, n)
-	handled := make([]bool, n)
+	reads := make([]read, n)
 	var outstanding []int
 	var failed []*Node
 	next := 0
 	var hedgeAt time.Duration
+	// step wakes this Get from its current wait round; the hedge timer
+	// is created on the first round that needs it, re-armed per round,
+	// and stopped whenever the wait ends, so it only ever fires the
+	// round it was armed for.
+	var step *sim.Signal
+	var hedge *sim.Timer
 	for {
 		// Collect finished readers in replica order.
 		for _, i := range outstanding {
-			if handled[i] || res[i] == nil {
+			r := &reads[i]
+			if r.handled || !r.finished {
 				continue
 			}
-			handled[i] = true
-			r, node := res[i], g.nodes[i]
+			r.handled = true
+			node := g.nodes[i]
 			if r.err == nil {
 				if i != order[0] {
 					g.ctr.failovers.Inc()
@@ -573,7 +583,7 @@ func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 		}
 		live := outstanding[:0]
 		for _, i := range outstanding {
-			if !handled[i] {
+			if !reads[i].handled {
 				live = append(live, i)
 			}
 		}
@@ -594,9 +604,10 @@ func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 				t.End(g.env.Now(), span)
 			}
 			i, node := order[next], g.nodes[order[next]]
-			readers[i] = g.env.Go("cluster/get", func(wp *sim.Proc) {
-				v, size, err := node.Slice.Get(wp, key)
-				res[i] = &result{v, size, err}
+			r := &reads[i]
+			r.proc = g.env.Go("cluster/get", func(wp *sim.Proc) {
+				r.value, r.size, r.err = node.Slice.Get(wp, key)
+				r.finished = true
 			})
 			outstanding = append(outstanding, i)
 			next++
@@ -607,19 +618,25 @@ func (g *Group) Get(p *sim.Proc, key string) ([]byte, int, error) {
 			continue
 		}
 		// Park until any outstanding read finishes or the hedge timer
-		// says to try the next replica.
-		step := sim.NewSignal(g.env)
+		// says to try the next replica. Each read's watcher is a
+		// callback bound to this round's step, armed by an event in the
+		// slot a watcher process would start in.
+		step = sim.NewSignal(g.env)
+		fire := step.Fire
 		for _, i := range outstanding {
-			done := readers[i].DoneSignal()
-			g.env.Go("cluster/watch", func(wp *sim.Proc) {
-				wp.Await(done)
-				step.Fire()
-			})
+			done := reads[i].proc.DoneSignal()
+			g.env.Schedule(0, func() { done.Notify(fire) })
 		}
 		if g.cfg.HedgeAfter > 0 && next < n {
-			g.env.Schedule(hedgeAt-g.env.Now(), func() { step.Fire() })
+			if hedge == nil {
+				hedge = g.env.NewTimer(func() { step.Fire() })
+			}
+			hedge.Reset(hedgeAt - g.env.Now())
 		}
 		p.Await(step)
+		if hedge != nil {
+			hedge.Stop()
+		}
 	}
 }
 
@@ -693,25 +710,4 @@ func (g *Group) rereplicate(p *sim.Proc, node *Node) {
 		}
 	}
 	t.End(g.env.Now(), span)
-}
-
-// awaitWithin waits for done to fire, but no longer than d of virtual
-// time; it reports whether done fired in time. The timer event and
-// the watcher process are both one-shot, so a missing completion
-// cannot keep the event queue alive.
-func awaitWithin(env *sim.Env, p *sim.Proc, done *sim.Signal, d time.Duration) bool {
-	if done.Fired() {
-		return true
-	}
-	if d <= 0 {
-		return false
-	}
-	step := sim.NewSignal(env)
-	env.Schedule(d, func() { step.Fire() })
-	env.Go("cluster/await", func(wp *sim.Proc) {
-		wp.Await(done)
-		step.Fire()
-	})
-	p.Await(step)
-	return done.Fired()
 }

@@ -286,7 +286,7 @@ func (m *Member) AcquireErase(p *sim.Proc, free int) (release func(), forced boo
 		// while the window accepts new erases, keeping its length
 		// bounded; a drain-time request queues like everyone else's).
 		c.deferrals.Inc()
-		awaitWithin(c.env, p, grant, c.cfg.MaxWait)
+		p.AwaitWithin(grant, c.cfg.MaxWait)
 	}
 	m.waiters--
 	if grant.Fired() && c.holder == m.idx {
@@ -372,21 +372,4 @@ func (m *Member) releaseOnce() func() {
 			c.close(m)
 		}
 	}
-}
-
-// awaitWithin waits for done to fire, but no longer than d of virtual
-// time; it reports whether done fired in time. Both the timer and the
-// watcher are one-shot, so neither can keep the event queue alive.
-func awaitWithin(env *sim.Env, p *sim.Proc, done *sim.Signal, d time.Duration) bool {
-	if done.Fired() {
-		return true
-	}
-	step := sim.NewSignal(env)
-	env.Schedule(d, func() { step.Fire() })
-	env.Go("coord/await", func(wp *sim.Proc) {
-		wp.Await(done)
-		step.Fire()
-	})
-	p.Await(step)
-	return done.Fired()
 }

@@ -6,13 +6,14 @@ import (
 )
 
 // InlinePark flags blocking process calls inside inline scheduler
-// callbacks. The kernel's fast path ((*sim.Env).Schedule and
-// (*sim.Timeline).OccupyAsync) runs the supplied function directly on
-// the scheduler goroutine between events: there is no process to park,
-// so calling a blocking Proc API from one — Wait, WaitUntil, Await,
-// Join, or anything that takes a *sim.Proc such as Acquire, Transfer,
-// Occupy or Queue.Get — deadlocks the simulation (see DESIGN.md,
-// "Kernel performance"). The metrics registry's callback-backed
+// callbacks. The kernel's fast path ((*sim.Env).Schedule,
+// (*sim.Timeline).OccupyAsync, a (*sim.Env).NewTimer callback and a
+// (*sim.Signal).Notify callback waiter) runs the supplied function
+// directly on the scheduler goroutine between events: there is no
+// process to park, so calling a blocking Proc API from one — Wait,
+// WaitUntil, Await, Join, or anything that takes a *sim.Proc such as
+// Acquire, Transfer, Occupy or Queue.Get — deadlocks the simulation
+// (see DESIGN.md, "Kernel performance"). The metrics registry's callback-backed
 // instruments ((*metrics.Registry).GaugeFunc and CounterFunc) carry
 // the same contract: the sampler and the exporters invoke those
 // callbacks inline — sometimes outside any process, after the run —
@@ -23,7 +24,7 @@ import (
 // implementing them.
 var InlinePark = &Analyzer{
 	Name: "inlinepark",
-	Doc:  "forbid blocking Proc calls inside inline callbacks (Schedule/OccupyAsync/GaugeFunc/CounterFunc)",
+	Doc:  "forbid blocking Proc calls inside inline callbacks (Schedule/OccupyAsync/NewTimer/Notify/GaugeFunc/CounterFunc)",
 	Applies: func(f *File) bool {
 		return !f.IsTest() && f.In("internal") && !f.In("internal/sim")
 	},
@@ -51,6 +52,8 @@ type inlineCallback struct {
 var inlineCallbackMethods = map[string][]inlineCallback{
 	"Schedule":    {{arg: 1, pkg: "sim", typ: "Env"}},          // (*sim.Env).Schedule(d, fn)
 	"OccupyAsync": {{arg: 1, pkg: "sim", typ: "Timeline"}},     // (*sim.Timeline).OccupyAsync(hold, fn)
+	"NewTimer":    {{arg: 0, pkg: "sim", typ: "Env"}},          // (*sim.Env).NewTimer(fn)
+	"Notify":      {{arg: 0, pkg: "sim", typ: "Signal"}},       // (*sim.Signal).Notify(fn)
 	"GaugeFunc":   {{arg: 1, pkg: "metrics", typ: "Registry"}}, // (*metrics.Registry).GaugeFunc(name, fn, labels...)
 	"CounterFunc": {{arg: 1, pkg: "metrics", typ: "Registry"}}, // (*metrics.Registry).CounterFunc(name, fn, labels...)
 }

@@ -102,6 +102,8 @@ func TestPerAnalyzerFindings(t *testing.T) {
 		{"maporder", "./internal/mapuse", 4},
 		{"inlinepark", "./internal/parkuse", 5},
 		{"parkpath", "./internal/parktrans", 3},
+		{"inlinepark", "./internal/parkcb", 2},
+		{"parkpath", "./internal/parkcbtrans", 2},
 		{"spanleak", "./internal/spanuse", 3},
 		{"errdrop", "./internal/erruse", 5},
 		{"selectnondet", "./internal/seluse", 2},

@@ -62,3 +62,20 @@ func (r *Resource) Acquire(p *Proc) {}
 
 // Release frees a unit.
 func (r *Resource) Release() {}
+
+// NewTimer returns a timer whose fn runs inline on the scheduler
+// goroutine when it fires.
+func (e *Env) NewTimer(fn func()) *Timer { return &Timer{fn: fn} }
+
+// Timer is a stoppable one-shot timer.
+type Timer struct{ fn func() }
+
+// Reset arms the timer d ticks from now.
+func (t *Timer) Reset(d int) {}
+
+// Stop cancels a pending firing.
+func (t *Timer) Stop() {}
+
+// Notify registers fn as a callback waiter, run inline on the
+// scheduler goroutine when s fires.
+func (s *Signal) Notify(fn func()) { fn() }

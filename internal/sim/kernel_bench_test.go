@@ -173,6 +173,44 @@ func BenchmarkKernelSpawn(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelTimerChurn measures the stoppable-timer heap under
+// the load hedges and link completions put on it: 512 timers, each op
+// re-arming one pending timer and stopping another, driven by a
+// self-re-arming timer so nothing but the timer heap is exercised.
+// Most armed deadlines die before they fire.
+func BenchmarkKernelTimerChurn(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	const n = 512
+	timers := make([]*Timer, n)
+	fired := 0
+	for i := range timers {
+		timers[i] = env.NewTimer(func() { fired++ })
+		timers[i].Reset(time.Duration(i) * time.Microsecond)
+	}
+	remaining := b.N
+	k := 0
+	delay := time.Duration(0)
+	var driver *Timer
+	driver = env.NewTimer(func() {
+		remaining--
+		if remaining <= 0 {
+			for _, t := range timers {
+				t.Stop()
+			}
+			return
+		}
+		delay = (delay*131 + 7) % 509
+		timers[k].Reset(delay*time.Microsecond + time.Microsecond)
+		k = (k*7 + 3) % n
+		timers[k].Stop()
+		driver.Reset(time.Microsecond / 4)
+	})
+	b.ResetTimer()
+	driver.Reset(0)
+	env.Run()
+}
+
 // runAllocs builds a workload on a fresh Env, runs it to completion,
 // and returns the heap allocations the run made and the events it
 // dispatched.
@@ -267,6 +305,33 @@ func TestKernelFastPathAllocs(t *testing.T) {
 					s.Fire()
 				}
 			})
+		}},
+		// Re-arming and stopping a deadline that usually dies touches
+		// only the timer heap, in place.
+		{"timer-reset-stop", func(env *Env) {
+			fired := 0
+			tm := env.NewTimer(func() { fired++ })
+			env.Go("worker", func(p *Proc) {
+				for i := 0; i < 100000; i++ {
+					tm.Reset(2 * time.Microsecond)
+					p.Wait(time.Microsecond)
+					if i%4 == 0 {
+						tm.Stop()
+					}
+				}
+			})
+		}},
+		// Overlapping fair-share transfers re-arm the link's one
+		// completion timer on every arrival and departure.
+		{"shared-link-overlap", func(env *Env) {
+			l := NewSharedLink(env, 1e9)
+			for w := 0; w < 3; w++ {
+				env.Go("xfer", func(p *Proc) {
+					for i := 0; i < 30000; i++ {
+						l.Transfer(p, 1000+300*w)
+					}
+				})
+			}
 		}},
 	}
 	for _, tc := range cases {

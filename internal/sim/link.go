@@ -104,7 +104,7 @@ type SharedLink struct {
 	factor float64 // degradation multiplier (1 = healthy)
 	active []xfer
 	last   int64  // virtual time of last progress update
-	gen    uint64 // invalidates stale completion events
+	next   *Timer // the earliest completion among active transfers
 	moved  int64
 }
 
@@ -121,7 +121,9 @@ func NewSharedLink(env *Env, bytesPerSec float64) *SharedLink {
 	if bytesPerSec <= 0 {
 		panic("sim: shared link rate must be positive")
 	}
-	return &SharedLink{env: env, rate: bytesPerSec, factor: 1}
+	l := &SharedLink{env: env, rate: bytesPerSec, factor: 1}
+	l.next = env.NewTimer(l.complete)
+	return l
 }
 
 // SetRateFactor scales the link's effective aggregate rate by f
@@ -193,11 +195,11 @@ func (l *SharedLink) advance() {
 	}
 }
 
-// reschedule computes the next completion instant and schedules a
-// progress event for it, invalidating any previously scheduled one.
+// reschedule computes the next completion instant and re-arms the
+// completion timer for it, replacing any earlier arming.
 func (l *SharedLink) reschedule() {
-	l.gen++
 	if len(l.active) == 0 {
+		l.next.Stop()
 		return
 	}
 	minRem := l.active[0].remaining
@@ -211,13 +213,7 @@ func (l *SharedLink) reschedule() {
 	// Round up one nanosecond so the completion check sees zero
 	// remaining despite floating-point truncation.
 	eta++
-	gen := l.gen
-	l.env.Schedule(eta, func() {
-		if gen != l.gen {
-			return
-		}
-		l.complete()
-	})
+	l.next.Reset(eta)
 }
 
 // complete finishes all transfers that have drained and reschedules.

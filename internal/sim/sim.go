@@ -38,7 +38,13 @@
 // A process lifecycle allocates only the Proc and the caller's closure
 // (DESIGN.md "Process lifecycle"): coroutines are pooled workers that
 // outlive the processes they run, the Env forgets finished processes,
-// and a single-waiter Signal keeps its waiter inline.
+// a single-waiter Signal keeps its waiter inline, and a process's done
+// signal is part of the Proc.
+//
+// Deadlines that usually die (hedges, timeouts, link completions) are
+// stoppable Timers kept beside the calendar queue (DESIGN.md "Timers"),
+// and a timed wait (Proc.AwaitWithin) needs no helper process: a Signal
+// waiter may be a scheduler-context callback instead of a process.
 package sim
 
 import (
@@ -97,8 +103,11 @@ type calendarQueue struct {
 
 func (q *calendarQueue) init() { q.index = make(map[int64]*bucket) }
 
-// minAt returns the earliest pending instant; size must be > 0.
-func (q *calendarQueue) minAt() int64 { return q.cur.at }
+// head returns the (at, seq) key of the next event; size must be > 0.
+func (q *calendarQueue) head() (int64, uint64) {
+	ev := &q.cur.evs[q.cur.head]
+	return ev.at, ev.seq
+}
 
 func (q *calendarQueue) push(ev event) {
 	q.size++
@@ -222,11 +231,14 @@ func (q *calendarQueue) heapPop() *bucket {
 }
 
 // grantEntry is one wakeup inside a batched grant: a process resume or
-// an inline callback, exactly the two shapes of a plain event.
+// an inline callback, exactly the two shapes of a plain event. It is
+// also the shape of a Signal waiter.
 type grantEntry struct {
 	proc *Proc
 	fn   func()
 }
+
+func (g grantEntry) empty() bool { return g.proc == nil && g.fn == nil }
 
 // tlGrant batches wakeups that would otherwise be scheduled as
 // back-to-back events at one instant — a Timeline lane completing a
@@ -254,6 +266,9 @@ type Env struct {
 	seq   uint64
 	fired uint64 // events dispatched so far
 	q     calendarQueue
+	// timers holds the pending Timers; dispatch merges it with q by
+	// (at, seq).
+	timers timerHeap
 	// xfer is the process the driver must switch into next: a parking
 	// process deposits the successor here before yielding, and the
 	// driver loop trampolines into it. nil means re-evaluate the stop
@@ -364,6 +379,22 @@ func (e *Env) scheduleWake(at int64, p *Proc, fn func()) {
 	e.lastGrant = g
 }
 
+// nextAt returns the instant of the earliest pending event or timer,
+// and false when nothing is pending.
+func (e *Env) nextAt() (int64, bool) {
+	if e.q.size == 0 {
+		if len(e.timers) == 0 {
+			return 0, false
+		}
+		return e.timers[0].at, true
+	}
+	at := e.q.cur.at
+	if len(e.timers) > 0 && e.timers[0].at < at {
+		return e.timers[0].at, true
+	}
+	return at, true
+}
+
 // runEvents dispatches events while the caller holds control. self is
 // the process currently running (nil when the driver loop dispatches).
 // It returns the process control must transfer to: self (the caller's
@@ -375,7 +406,7 @@ func (e *Env) runEvents(self *Proc) *Proc {
 		if e.fail != nil || e.closed {
 			return nil
 		}
-		if sp := e.stopProc; sp != nil && sp.done {
+		if sp := e.stopProc; sp != nil && sp.Done() {
 			return nil
 		}
 		// A partially delivered grant resumes before any queue pop: its
@@ -393,15 +424,27 @@ func (e *Env) runEvents(self *Proc) *Proc {
 				ent.fn()
 				continue
 			}
-			if p := ent.proc; p != nil && !p.done {
+			if p := ent.proc; p != nil && !p.Done() {
 				return p
 			}
 			continue
 		}
-		if e.q.size == 0 {
+		if len(e.timers) > 0 {
+			t := e.timers[0]
+			if e.q.size == 0 || t.before(e.q.head()) {
+				if e.limit >= 0 && t.at > e.limit {
+					return nil
+				}
+				e.timers.remove(0)
+				e.now = t.at
+				e.fired++
+				t.fn()
+				continue
+			}
+		} else if e.q.size == 0 {
 			return nil
 		}
-		if e.limit >= 0 && e.q.minAt() > e.limit {
+		if e.limit >= 0 && e.q.cur.at > e.limit {
 			return nil
 		}
 		ev := e.q.pop()
@@ -419,7 +462,7 @@ func (e *Env) runEvents(self *Proc) *Proc {
 				e.spawn(p)
 				return p
 			}
-			if p.done {
+			if p.Done() {
 				continue
 			}
 			return p
@@ -442,15 +485,16 @@ func (e *Env) drive() {
 		if f := e.fail; f != nil {
 			panic(fmt.Sprintf("sim: process %q panicked: %v", f.proc, f.value))
 		}
-		if sp := e.stopProc; sp != nil && sp.done {
+		if sp := e.stopProc; sp != nil && sp.Done() {
 			return
 		}
 		if e.activeGrant == nil {
-			if e.q.size == 0 {
+			at, ok := e.nextAt()
+			if !ok {
 				e.releaseIdle()
 				return
 			}
-			if e.limit >= 0 && e.q.minAt() > e.limit {
+			if e.limit >= 0 && at > e.limit {
 				return
 			}
 		}
@@ -463,15 +507,15 @@ func (e *Env) drive() {
 // Proc is a simulation process. Methods on Proc may only be called
 // from the process itself. While the process runs it owns a pooled
 // worker coroutine; a finished process keeps only its name and done
-// state.
+// state. The done signal is held by value, so joining a process
+// allocates nothing.
 type Proc struct {
 	env     *Env
 	name    string
 	fn      func(*Proc) // body, pending until the process starts
 	w       *worker     // set from start until the process finishes
 	started bool
-	done    bool
-	doneSig *Signal
+	done    Signal // fires when the process finishes
 	span    trace.SpanID
 }
 
@@ -547,6 +591,7 @@ func (p *Proc) Span() trace.SpanID { return p.span }
 // before Run or from inside another process.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn}
+	p.done.env = e
 	if len(e.procs) == cap(e.procs) {
 		e.compactProcs()
 	}
@@ -600,11 +645,8 @@ func (p *Proc) exit() {
 	if r != nil && !stopped && e.fail == nil {
 		e.fail = &procPanic{proc: p.name, value: r}
 	}
-	p.done = true
 	p.w = nil
-	if p.doneSig != nil {
-		p.doneSig.Fire()
-	}
+	p.done.Fire()
 }
 
 // park blocks the current process until another component wakes it via
@@ -664,27 +706,14 @@ func (p *Proc) WaitUntil(at time.Duration) {
 }
 
 // Done reports whether the process has finished.
-func (p *Proc) Done() bool { return p.done }
+func (p *Proc) Done() bool { return p.done.fired }
 
 // DoneSignal returns a Signal that fires when the process finishes. The
 // same signal is returned on every call.
-func (p *Proc) DoneSignal() *Signal {
-	if p.doneSig == nil {
-		p.doneSig = NewSignal(p.env)
-		if p.done {
-			p.doneSig.Fire()
-		}
-	}
-	return p.doneSig
-}
+func (p *Proc) DoneSignal() *Signal { return &p.done }
 
 // Join blocks until the other process finishes.
-func (p *Proc) Join(other *Proc) {
-	if other.done {
-		return
-	}
-	p.Await(other.DoneSignal())
-}
+func (p *Proc) Join(other *Proc) { p.Await(&other.done) }
 
 // Run processes events until the queue is empty. It panics with the
 // original value if any process panicked.
@@ -727,12 +756,15 @@ func (e *Env) Close() {
 		return
 	}
 	e.closed = true
+	// Pending timers can never fire now; unlink them so nothing their
+	// callbacks captured stays reachable through the Env.
+	e.timers.drop()
 	// Detach the list first: a defer run by the drain may call Go,
 	// which must not compact the slice being iterated.
 	procs := e.procs
 	e.procs = nil
 	for _, p := range procs {
-		if p.started && !p.done {
+		if p.started && !p.Done() {
 			// stop switches in with yield returning false; park panics
 			// the stop sentinel, the body unwinds through its deferred
 			// exit, and the worker loop ends before control returns here.
@@ -756,15 +788,16 @@ func (e *Env) releaseIdle() {
 
 // Signal is a one-shot broadcast event: processes Await it, and a later
 // Fire releases all of them. Awaiting an already-fired signal returns
-// immediately.
+// immediately. A waiter may also be a scheduler-context callback
+// (Notify), which Fire wakes in the slot a parked process would get.
 type Signal struct {
 	env   *Env
 	fired bool
 	// first is the earliest waiter, held inline so a single-waiter
 	// signal allocates nothing; rest holds later waiters in arrival
 	// order.
-	first *Proc
-	rest  []*Proc
+	first grantEntry
+	rest  []grantEntry
 }
 
 // NewSignal returns an unfired signal bound to env.
@@ -778,12 +811,13 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	if s.first != nil {
-		s.env.wake(s.first)
-		s.first = nil
+	e := s.env
+	if !s.first.empty() {
+		e.scheduleWake(e.now, s.first.proc, s.first.fn)
+		s.first = grantEntry{}
 	}
 	for _, w := range s.rest {
-		s.env.wake(w)
+		e.scheduleWake(e.now, w.proc, w.fn)
 	}
 	s.rest = nil
 }
@@ -796,12 +830,77 @@ func (p *Proc) Await(s *Signal) {
 	if s.fired {
 		return
 	}
-	if s.first == nil {
-		s.first = p
-	} else {
-		s.rest = append(s.rest, p)
-	}
+	s.add(grantEntry{proc: p})
 	p.park()
+}
+
+// Notify registers fn as a waiter: when s fires, fn runs in scheduler
+// context in the dispatch slot a process parked in Await would resume
+// in. On an already-fired signal fn runs at once, as Await would
+// return at once. fn must not block.
+func (s *Signal) Notify(fn func()) {
+	if s.fired {
+		fn()
+		return
+	}
+	s.add(grantEntry{fn: fn})
+}
+
+func (s *Signal) add(w grantEntry) {
+	if s.first.empty() {
+		s.first = w
+	} else {
+		s.rest = append(s.rest, w)
+	}
+}
+
+// AwaitWithin blocks the process until s fires or d of virtual time
+// passes, whichever comes first, and reports whether s fired. It is
+// the process-free form of a timeout plus a watcher process that
+// awaits s: the timeout is a Timer armed first, and the watcher is a
+// callback armed in the dispatch slot the watcher would have started
+// in, so every wakeup lands in the slot it had in that form. The
+// timeout is stopped on return, so a wait that ends early leaves no
+// event behind.
+func (p *Proc) AwaitWithin(s *Signal, d time.Duration) bool {
+	if s.fired {
+		return true
+	}
+	if d <= 0 {
+		return false
+	}
+	e := p.env
+	w := &timedWait{proc: p, sig: s}
+	step := w.step
+	w.timeout = Timer{env: e, fn: step, idx: -1}
+	w.timeout.Reset(d)
+	e.scheduleAt(e.now, event{fn: step})
+	p.park()
+	w.timeout.Stop()
+	return s.fired
+}
+
+// timedWait is one AwaitWithin call. Its step callback is in turn the
+// arming event (register on the signal) and then the wakeup from the
+// signal or the timeout; only the first wakeup resumes the process.
+type timedWait struct {
+	proc    *Proc
+	sig     *Signal
+	armed   bool
+	woken   bool
+	timeout Timer
+}
+
+func (w *timedWait) step() {
+	if !w.armed {
+		w.armed = true
+		w.sig.Notify(w.timeout.fn) // step itself, without a second method value
+		return
+	}
+	if !w.woken {
+		w.woken = true
+		w.proc.env.wake(w.proc)
+	}
 }
 
 // Resource is a counting semaphore with FIFO admission. It models a
